@@ -6,7 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"math/big"
 	"net"
 	"os"
@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"tracedbg/internal/iofault"
 	"tracedbg/internal/obs"
 	"tracedbg/internal/trace"
 )
@@ -46,6 +47,10 @@ type ClientOptions struct {
 	MemLimit int
 	// SpillDir is where the spill file is created. Default os.TempDir().
 	SpillDir string
+	// FS overrides the filesystem the spill file lives on — the
+	// deterministic fault-injection seam, as in DaemonOptions. Nil uses the
+	// OS.
+	FS iofault.FS
 	// HandshakeTimeout bounds the wait for the collector's TDBGACK reply.
 	// Default 5s.
 	HandshakeTimeout time.Duration
@@ -78,37 +83,54 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 30 * time.Second
 	}
+	if o.SpillDir == "" {
+		o.SpillDir = os.TempDir()
+	}
+	o.FS = iofault.Or(o.FS)
 	return o
 }
 
 // Client is an instrumentation sink that streams records to a collector.
 // It is safe for concurrent use by all rank goroutines.
 //
-// Every emitted record is buffered — in memory up to MemLimit records,
-// beyond that in an append-only disk spill file — until Close. The buffer
-// is the source of truth for retransmission: when the connection drops the
-// client reconnects with exponential backoff, learns from the collector's
-// handshake acknowledgement how many records arrived, and retransmits
-// exactly the rest. The spill file is never pruned, so even a collector
-// that restarts from scratch (acknowledging 0) can be replayed the full
-// history with no gaps and no duplicates.
+// Every emitted record stays in the client's retransmission buffer until
+// Close, in emit order: the newest MemLimit records in a ring in memory,
+// every older one in an append-only spill file on disk. Once the ring is
+// full, Emit writes the oldest slot to the spill and reuses the slot, so
+// buffering costs O(1) per record however long the backlog grows.
+//
+// The buffer is the source of truth for retransmission: when the
+// connection drops the client reconnects with exponential backoff, learns
+// from the collector's handshake acknowledgement how many records arrived,
+// and retransmits exactly the rest. Spilled records are read back through
+// one forward cursor, so a backlog the credit window releases piece by
+// piece is decoded once in total. A resume point elsewhere in the spill is
+// found through a sparse table of chunk boundaries, which costs at most
+// one chunk of records decoded and not sent.
+//
+// The buffer is never trimmed on the collector's acknowledgement, so even
+// a collector that restarts from scratch (acknowledging 0) is replayed the
+// full history with no gaps and no duplicates. An acknowledgement is not a
+// crash-safe horizon either: a daemon writing under SyncNone that crashes
+// can recover fewer records than it acknowledged, and the client refills
+// the difference from the buffer (TestDaemonCrashRecoveryResume). Close
+// releases the ring, the spill and its readers.
 type Client struct {
 	opts     ClientOptions
 	addr     string
 	numRanks int
 
 	mu      sync.Mutex
-	mem     []trace.Record // records memBase+1 .. total, in emit order
+	ring    []trace.Record // records memBase+1 .. total; at most MemLimit slots
+	head    int            // ring slot of record memBase+1
 	memBase uint64         // records 1 .. memBase live in the spill file
 	total   uint64         // records emitted so far
 	acked   uint64         // records the collector has acknowledged
 	sent    uint64         // records written to the current connection
 	win     uint64         // absolute send limit (acked+credit); 0 = no window
+	refused uint64         // records Emit dropped after a fatal error
 
-	spillPath string
-	spillF    *os.File
-	spillBW   *bufio.Writer
-	spillFW   *trace.FileWriter
+	spill *spillFile // nil until the ring first overflows
 
 	conn    net.Conn
 	connGen int // bumped on every (re)attach; stale goroutines check it
@@ -216,7 +238,8 @@ func parseAck(line string) (ack, win uint64, ok bool) {
 
 // parseReject parses "TDBGREJ <reason> <retryAfterMs>\n" into the typed
 // error. A malformed line degrades to a retryable one-second hint rather
-// than a permanent refusal.
+// than a permanent refusal, and a hint too long for a time.Duration is
+// capped rather than wrapped into a negative, permanent one.
 func parseReject(line string) *ErrRejected {
 	fields := strings.Fields(strings.TrimPrefix(line, rejPrefix))
 	e := &ErrRejected{Reason: "unknown", RetryAfter: time.Second}
@@ -228,7 +251,7 @@ func parseReject(line string) *ErrRejected {
 			if ms < 0 {
 				e.RetryAfter = -1
 			} else {
-				e.RetryAfter = time.Duration(ms) * time.Millisecond
+				e.RetryAfter = time.Duration(min(ms, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
 			}
 		}
 	}
@@ -286,8 +309,8 @@ func (cl *Client) sendLimitLocked() uint64 {
 }
 
 // sendRangeLocked writes records from+1 .. to to the current writer,
-// reading the spilled prefix back from disk if the resume point predates
-// the in-memory window, and advances cl.sent.
+// reading the part that predates the ring back from the spill file, and
+// advances cl.sent.
 func (cl *Client) sendRangeLocked(from, to uint64) error {
 	if to > cl.total {
 		to = cl.total
@@ -296,38 +319,19 @@ func (cl *Client) sendRangeLocked(from, to uint64) error {
 		return nil
 	}
 	if from < cl.memBase {
-		if err := cl.flushSpillLocked(); err != nil {
+		end := min(to, cl.memBase)
+		if err := cl.spill.read(from, end, cl.fw.Write); err != nil {
 			return err
 		}
-		f, err := os.Open(cl.spillPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sc, err := trace.NewScanner(bufio.NewReaderSize(f, 1<<16))
-		if err != nil {
-			return err
-		}
-		for i := uint64(0); i < cl.memBase && i < to; i++ {
-			rec, err := sc.Next()
-			if err != nil {
-				return fmt.Errorf("spill readback at record %d: %w", i+1, err)
-			}
-			if i < from {
-				continue // already acknowledged
-			}
-			if err := cl.fw.Write(rec); err != nil {
-				return err
-			}
-		}
-		if to <= cl.memBase {
-			cl.sent = to
-			return nil
-		}
-		from = cl.memBase
+		cl.sent = end
+		from = end
 	}
-	for i := from - cl.memBase; i < to-cl.memBase; i++ {
-		if err := cl.fw.Write(&cl.mem[i]); err != nil {
+	for j := from; j < to; j++ {
+		i := cl.head + int(j-cl.memBase) // the ring wraps at most once
+		if i >= len(cl.ring) {
+			i -= len(cl.ring)
+		}
+		if err := cl.fw.Write(&cl.ring[i]); err != nil {
 			return err
 		}
 	}
@@ -342,66 +346,41 @@ func (cl *Client) writerOptions() trace.WriterOptions {
 	return trace.WriterOptions{Writer: "tdbg-client/" + cl.opts.ID}
 }
 
-func (cl *Client) flushSpillLocked() error {
-	if cl.spillFW == nil {
+// bufferLocked adds rec to the retransmission buffer as record total+1.
+// While the ring has free slots it grows, never past MemLimit; once full,
+// the oldest slot moves to the spill file and takes the new record.
+func (cl *Client) bufferLocked(rec *trace.Record) error {
+	if n := int(cl.total - cl.memBase); n < cl.opts.MemLimit {
+		// Nothing has spilled yet, so the ring starts at slot 0.
+		if n == cap(cl.ring) {
+			grown := make([]trace.Record, n, min(max(2*n, 64), cl.opts.MemLimit))
+			copy(grown, cl.ring)
+			cl.ring = grown
+		}
+		cl.ring = append(cl.ring, *rec)
 		return nil
 	}
-	if err := cl.spillFW.Flush(); err != nil {
-		return err
-	}
-	if err := cl.spillBW.Flush(); err != nil {
-		return err
-	}
-	// The spill file is the retransmission source of truth after a crash:
-	// force it to stable storage whenever its contents are about to matter.
-	return cl.spillF.Sync()
-}
-
-// spillLocked moves the oldest n in-memory records to the spill file.
-func (cl *Client) spillLocked(n int) error {
-	if cl.spillFW == nil {
-		dir := cl.opts.SpillDir
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		f, err := os.CreateTemp(dir, "tdbg-spill-*.trace")
+	if cl.spill == nil {
+		sp, err := createSpill(cl.opts.FS, cl.opts.SpillDir, cl.numRanks, cl.writerOptions())
 		if err != nil {
 			return err
 		}
 		if l := obs.Events(); l.Enabled(obs.LevelInfo) {
 			l.Log(obs.LevelInfo, "remote.spill_open",
-				obs.F("client", cl.opts.ID), obs.F("path", f.Name()))
+				obs.F("client", cl.opts.ID), obs.F("path", sp.path))
 		}
-		bw := bufio.NewWriterSize(&countingWriter{w: f, c: metrics().clientSpillBytes}, 1<<16)
-		fw, err := trace.NewFileWriterOptions(bw, cl.numRanks, cl.writerOptions())
-		if err != nil {
-			f.Close()           //nolint:ioerr // error path; the spill-setup error is surfaced
-			os.Remove(f.Name()) //nolint:ioerr // best-effort cleanup of the failed spill file
-			return err
-		}
-		cl.spillPath, cl.spillF, cl.spillBW, cl.spillFW = f.Name(), f, bw, fw
+		cl.spill = sp
 	}
-	for i := 0; i < n; i++ {
-		if err := cl.spillFW.Write(&cl.mem[i]); err != nil {
-			return err
-		}
+	if err := cl.spill.append(&cl.ring[cl.head]); err != nil {
+		return err
 	}
-	cl.memBase += uint64(n)
-	cl.mem = append(cl.mem[:0], cl.mem[n:]...)
-	metrics().clientSpillRecords.Add(uint64(n))
+	metrics().clientSpillRecords.Inc()
+	cl.ring[cl.head] = *rec
+	cl.memBase++
+	if cl.head++; cl.head == len(cl.ring) {
+		cl.head = 0
+	}
 	return nil
-}
-
-// countingWriter counts bytes flowing to the spill file.
-type countingWriter struct {
-	w io.Writer
-	c *obs.Counter
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.c.Add(uint64(n))
-	return n, err
 }
 
 // Emit implements the instrumentation Sink interface. Records are always
@@ -409,20 +388,23 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 func (cl *Client) Emit(rec *trace.Record) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if cl.closed || cl.err != nil {
+	if cl.closed {
 		return
 	}
-	cl.mem = append(cl.mem, *rec)
+	if cl.err != nil {
+		cl.refused++
+		return
+	}
+	if err := cl.bufferLocked(rec); err != nil {
+		// Disk refused the overflow. The buffer must stay a gap-free prefix
+		// of the history, so this record and every later one is refused;
+		// Close reports how many.
+		cl.err = fmt.Errorf("remote: spill: %w", err)
+		cl.refused++
+		return
+	}
 	cl.total++
 	metrics().clientUnacked.Add(1)
-	if len(cl.mem) > cl.opts.MemLimit {
-		if err := cl.spillLocked(len(cl.mem) - cl.opts.MemLimit); err != nil {
-			// Disk refused the overflow: keep everything in memory rather
-			// than drop history; record the condition once.
-			cl.err = fmt.Errorf("remote: spill: %w", err)
-			return
-		}
-	}
 	if cl.fw != nil {
 		if cl.win > 0 && cl.sent >= cl.win {
 			// Credit window exhausted: the record stays buffered; the
@@ -511,8 +493,8 @@ func (cl *Client) ackReader(conn net.Conn, br *bufio.Reader, gen int) {
 			if cl.connGen == gen && n > cl.acked && n <= cl.total {
 				cl.acked = n
 			}
-			if cl.connGen == gen && win > 0 && cl.fw != nil {
-				if nw := n + win; nw > cl.win {
+			if cl.connGen == gen && cl.fw != nil {
+				if nw := n + win; win > 0 && nw > cl.win {
 					cl.win = nw
 				}
 				cl.pumpLocked()
@@ -523,12 +505,12 @@ func (cl *Client) ackReader(conn net.Conn, br *bufio.Reader, gen int) {
 	}
 }
 
-// pumpLocked pushes window-stalled backlog onto the wire after a credit
-// grant. Caller holds cl.mu with a live connection.
+// pumpLocked runs on every acknowledgement: it pushes window-stalled
+// backlog onto the wire as far as the credit allows and flushes, so what
+// Emit left in the wire buffer reaches the collector within one heartbeat
+// even if the program never calls Flush. Caller holds cl.mu with a live
+// connection.
 func (cl *Client) pumpLocked() {
-	if cl.sent >= cl.total || cl.sent >= cl.sendLimitLocked() {
-		return
-	}
 	err := cl.sendRangeLocked(cl.sent, cl.sendLimitLocked())
 	if err == nil {
 		err = cl.fw.Flush()
@@ -602,9 +584,15 @@ func (cl *Client) reconnectLoop() {
 			var rej *ErrRejected
 			if errors.As(err, &rej) {
 				if rej.RetryAfter < 0 {
-					// Permanent refusal: retrying cannot help.
+					// Permanent refusal: retrying cannot help. A session the
+					// daemon killed refuses its resume with the kill reason;
+					// that is the kill itself, arriving after the connection
+					// it was announced on had already failed.
 					cl.mu.Lock()
 					cl.err = rej
+					if isKillReason(rej.Reason) {
+						cl.err = &ErrQuotaExceeded{Reason: rej.Reason}
+					}
 					cl.reconnecting = false
 					cl.mu.Unlock()
 					if l := obs.Events(); l.Enabled(obs.LevelError) {
@@ -690,8 +678,11 @@ func (cl *Client) Total() uint64 {
 }
 
 // Close flushes, stops the reconnect machinery, closes the connection and
-// deletes the spill file. If the client is disconnected with unsent
-// records, Close reports how many were abandoned. On a windowed
+// releases the retransmission buffer: the ring, the spill file and its
+// reader. If the client is disconnected with unsent records, Close reports
+// how many were abandoned; if Emit refused records after a fatal error
+// (a spill the disk would not take, a quota kill, exhausted retries), the
+// error names that count too. On a windowed
 // connection (any collector that granted a credit window, regardless of
 // SessionID), Close first waits up to DrainTimeout for the daemon's credit
 // grants to admit the remaining backlog; if records are still stalled when
@@ -777,15 +768,18 @@ func (cl *Client) Close() error {
 	if cl.err != nil && err == nil {
 		err = cl.err
 	}
+	if cl.refused > 0 {
+		err = fmt.Errorf("%w; %d later record(s) refused", err, cl.refused)
+	}
 	cl.mu.Unlock()
 	close(cl.closedCh)
 	cl.wg.Wait()
 	cl.mu.Lock()
-	if cl.spillF != nil {
-		cl.spillF.Close()       //nolint:ioerr // spill is discard-only once the session is over
-		os.Remove(cl.spillPath) //nolint:ioerr // spill is discard-only once the session is over
-		cl.spillF, cl.spillBW, cl.spillFW = nil, nil, nil
+	if cl.spill != nil {
+		cl.spill.remove()
+		cl.spill = nil
 	}
+	cl.ring = nil
 	cl.mu.Unlock()
 	return err
 }

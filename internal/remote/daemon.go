@@ -47,6 +47,21 @@ const (
 // finalizes incomplete with the error in its manifest marker.
 const KillDiskError = "disk-error"
 
+// isKillReason reports whether reason is one a session kill announces. A
+// killed session refuses its resume with the same token, permanently.
+func isKillReason(reason string) bool {
+	switch reason {
+	case QuotaSessionBytes, QuotaSessionRecords, QuotaDiskBudget, KillDiskError:
+		return true
+	}
+	return false
+}
+
+// killDrain bounds how long a kill keeps reading the client's stream after
+// the TDBGQUO line, so the close that follows does not reset the
+// connection before the client has read the line.
+const killDrain = time.Second
+
 // sessionBase is the segment base name inside every session directory:
 // <dir>/<sessionID>/trace-00000.trace ... plus trace.manifest.
 const sessionBase = "trace"
@@ -425,13 +440,18 @@ func (d *Daemon) bumpDeadline(conn net.Conn) {
 // writeReject sends a typed admission refusal. retryAfter < 0 marks the
 // refusal permanent.
 func writeReject(conn net.Conn, reason string, retryAfter time.Duration) {
+	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
+	io.WriteString(conn, rejectLine(reason, retryAfter)) //nolint:errcheck // the refused peer may already be gone
+	conn.SetWriteDeadline(time.Time{})
+}
+
+// rejectLine formats the TDBGREJ wire line parseReject reads.
+func rejectLine(reason string, retryAfter time.Duration) string {
 	ms := int64(-1)
 	if retryAfter >= 0 {
 		ms = retryAfter.Milliseconds()
 	}
-	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	fmt.Fprintf(conn, "%s%s %d\n", rejPrefix, reason, ms)
-	conn.SetWriteDeadline(time.Time{})
+	return fmt.Sprintf("%s%s %d\n", rejPrefix, reason, ms)
 }
 
 // validSessionID enforces the charset that makes a session ID safe to use
@@ -546,7 +566,11 @@ func (d *Daemon) handle(conn net.Conn) error {
 		}
 		d.mu.Lock()
 		if s.gen != myGen || s.state != sessActive || s.finalizing {
+			killed := s.gen == myGen && s.state == sessKilled
 			d.mu.Unlock()
+			if killed {
+				drainKilled(conn)
+			}
 			return nil // superseded, killed, or finalizing
 		}
 		if d.opts.SessionQuotaRecords > 0 && s.accepted >= d.opts.SessionQuotaRecords {
@@ -858,9 +882,25 @@ func (d *Daemon) terminate(s *session, reason string) bool {
 	if conn != nil {
 		conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 		fmt.Fprintf(conn, "%s%s\n", quoPrefix, reason) //nolint:ioerr // peer may already be gone
-		conn.Close()                                   //nolint:ioerr // peer may already be gone; the kill is recorded server-side
+		// Closing a socket with unread input resets it, and a client that
+		// sees the reset before the line reconnects instead of learning of
+		// the kill. Half-close after the line and discard the client's
+		// in-flight records until it hangs up (it does on reading the line)
+		// or killDrain passes; the close is then orderly.
+		if hc, ok := conn.(interface{ CloseWrite() error }); ok && hc.CloseWrite() == nil {
+			drainKilled(conn)
+		}
+		conn.Close() //nolint:ioerr // peer may already be gone; the kill is recorded server-side
 	}
 	return true
+}
+
+// drainKilled discards a killed session's in-flight records until the
+// client hangs up or killDrain passes. Both terminate and the session's
+// handler drain, so neither closes the connection under unread input.
+func drainKilled(conn net.Conn) {
+	conn.SetReadDeadline(time.Now().Add(killDrain))
+	io.Copy(io.Discard, conn) //nolint:errcheck // draining a killed stream; any end will do
 }
 
 // sessionError records a session-scoped error.
@@ -1107,12 +1147,12 @@ func (d *Daemon) retireLocked(id string, r *retiredSession) {
 // writeAck sends one acknowledgement line: "TDBGACK <n> <win>" for windowed
 // (v3) connections, the one-field v2 form when win is zero — pre-window v2
 // binaries parse exactly one field.
-func writeAck(conn net.Conn, n, win uint64) error {
+func writeAck(w io.Writer, n, win uint64) error {
 	var err error
 	if win > 0 {
-		_, err = fmt.Fprintf(conn, "%s%d %d\n", ackPrefix, n, win)
+		_, err = fmt.Fprintf(w, "%s%d %d\n", ackPrefix, n, win)
 	} else {
-		_, err = fmt.Fprintf(conn, "%s%d\n", ackPrefix, n)
+		_, err = fmt.Fprintf(w, "%s%d\n", ackPrefix, n)
 	}
 	return err
 }
@@ -1138,11 +1178,18 @@ func (d *Daemon) heartbeat(conn net.Conn, s *session, myGen int, win uint64, sto
 		if stale {
 			return
 		}
-		conn.SetWriteDeadline(time.Now().Add(d.opts.Heartbeat * 4))
+		// The floor keeps a short heartbeat from timing out on a busy
+		// machine, where the goroutine can be descheduled past the
+		// deadline before the write is even attempted.
+		conn.SetWriteDeadline(time.Now().Add(max(d.opts.Heartbeat*4, time.Second)))
 		err := writeAck(conn, durable, win)
 		conn.SetWriteDeadline(time.Time{})
 		if err != nil {
-			return // the reader side will notice the broken connection
+			// The line may be torn, and without heartbeats a windowed
+			// client would wait for credit forever: sever the connection
+			// so the client resumes on a fresh one.
+			conn.Close() //nolint:ioerr // the stream is already unusable
+			return
 		}
 		metrics().collHeartbeats.Inc()
 	}

@@ -12,17 +12,18 @@ import (
 // everything else fires at connection or chunk granularity.
 type remoteMetrics struct {
 	// client side
-	clientReconnects   *obs.Counter
-	clientRetries      *obs.Counter
-	clientDrops        *obs.Counter
-	clientSpillRecords *obs.Counter
-	clientSpillBytes   *obs.Counter
-	clientResumeGap    *obs.Histogram
-	clientAckGapNs     *obs.Histogram
-	clientUnacked      *obs.Gauge
-	clientRejections   *obs.Counter
-	clientQuotaKills   *obs.Counter
-	clientWindowStalls *obs.Counter
+	clientReconnects    *obs.Counter
+	clientRetries       *obs.Counter
+	clientDrops         *obs.Counter
+	clientSpillRecords  *obs.Counter
+	clientSpillBytes    *obs.Counter
+	clientSpillReadback *obs.Counter
+	clientResumeGap     *obs.Histogram
+	clientAckGapNs      *obs.Histogram
+	clientUnacked       *obs.Gauge
+	clientRejections    *obs.Counter
+	clientQuotaKills    *obs.Counter
+	clientWindowStalls  *obs.Counter
 
 	// collector side
 	collConns      *obs.Counter
@@ -65,6 +66,8 @@ func newRemoteMetrics(r *obs.Registry) *remoteMetrics {
 			"records overflowed from the in-memory window to the disk spill file"),
 		clientSpillBytes: r.Counter("tracedbg_remote_client_spill_bytes_total",
 			"bytes written to the disk spill file"),
+		clientSpillReadback: r.Counter("tracedbg_remote_client_spill_readback_records_total",
+			"records decoded back from the disk spill file, sent or skipped past"),
 		clientResumeGap: r.Histogram("tracedbg_remote_client_resume_gap_records",
 			"records retransmitted per (re)attach (total minus collector ack)"),
 		clientAckGapNs: r.Histogram("tracedbg_remote_client_heartbeat_gap_ns",

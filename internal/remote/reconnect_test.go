@@ -3,6 +3,7 @@ package remote
 import (
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -140,13 +141,20 @@ func TestClientSpillsToDiskDuringOutage(t *testing.T) {
 	var next uint64
 	emitMarkers(cl, 1, 100, &next)
 	cl.mu.Lock()
-	spillPath, memBase := cl.spillPath, cl.memBase
+	var spillPath string
+	if cl.spill != nil {
+		spillPath = cl.spill.path
+	}
+	memBase := cl.memBase
 	cl.mu.Unlock()
 	if spillPath == "" || memBase == 0 {
 		t.Fatalf("no spill after 100 records with MemLimit=8 (memBase=%d)", memBase)
 	}
 	if _, err := os.Stat(spillPath); err != nil {
 		t.Fatalf("spill file: %v", err)
+	}
+	if fi, err := os.Stat(filepath.Dir(spillPath)); err != nil || fi.Mode().Perm() != 0o700 {
+		t.Fatalf("spill directory is not private: %v %v", fi, err)
 	}
 
 	col2 := restartCollector(t, addr, colOpts)
@@ -159,8 +167,8 @@ func TestClientSpillsToDiskDuringOutage(t *testing.T) {
 	if err := cl.Close(); err != nil {
 		t.Errorf("client close: %v", err)
 	}
-	if _, err := os.Stat(spillPath); !os.IsNotExist(err) {
-		t.Errorf("spill file not removed on close: %v", err)
+	if left, _ := os.ReadDir(opts.SpillDir); len(left) != 0 {
+		t.Errorf("spill not removed on close: %v", left)
 	}
 }
 

@@ -482,6 +482,12 @@ func (fw *FileWriter) Sync() error {
 	return fw.fsyncLocked()
 }
 
+// Strings returns the writer's string table in id order: every string
+// interned so far, including those whose defining blocks are still pending.
+// Seeding a mid-file Scanner with it (NewSeededScanner) resolves every id
+// the file has defined before the scanner's position.
+func (fw *FileWriter) Strings() []string { return fw.strings.snapshot() }
+
 // Count returns the number of records written so far.
 func (fw *FileWriter) Count() int {
 	fw.mu.Lock()
